@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke bench bench-smoke bench-ingest-smoke bench-labels-smoke bench-mmap-smoke bench-obs-smoke bench-obs-cluster-smoke bench-shard-smoke bench-replica-smoke serve-smoke cluster-smoke ci
+.PHONY: all build vet test race fuzz-smoke bench fmt-check bench-ingest-smoke bench-labels-smoke bench-mmap-smoke bench-obs-smoke bench-obs-cluster-smoke bench-shard-smoke bench-replica-smoke serve-smoke cluster-smoke ci
 
 all: ci
 
@@ -13,6 +13,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -33,14 +37,8 @@ fuzz-smoke:
 bench:
 	$(GO) run ./cmd/zoombench
 
-# One-iteration pass over the compact-index benchmarks (P1): catches
-# regressions that break the indexed fast path without paying full
-# benchmark time. Full numbers: `go test -bench Compact -benchmem .`
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'Compact' -benchtime=1x -benchmem .
-
-# Same idea for the ingest benchmarks (L1): snapshot load/save in both
-# formats plus streaming log ingestion, one iteration each.
+# One-iteration pass over the ingest benchmarks (L1): snapshot load/save in
+# both formats plus streaming log ingestion, one iteration each.
 bench-ingest-smoke:
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime=1x -benchmem .
 
@@ -96,4 +94,4 @@ serve-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-ci: vet build test race fuzz-smoke bench-smoke bench-ingest-smoke bench-labels-smoke bench-mmap-smoke bench-obs-smoke bench-obs-cluster-smoke bench-shard-smoke bench-replica-smoke serve-smoke cluster-smoke
+ci: fmt-check vet build test race fuzz-smoke bench-ingest-smoke bench-labels-smoke bench-mmap-smoke bench-obs-smoke bench-obs-cluster-smoke bench-shard-smoke bench-replica-smoke serve-smoke cluster-smoke

@@ -248,130 +248,6 @@ func BenchmarkFig11Granularity(b *testing.B) {
 	}
 }
 
-// newCompactSite is newFig10Site with the warehouse's compact index
-// switched on or off before the run is loaded — the two sides of the P1
-// comparison. The same seed yields the identical workflow and run, so the
-// legacy and indexed variants answer the same queries.
-func newCompactSite(b *testing.B, rc gen.RunClass, seed int64, indexed bool) *fig10Site {
-	b.Helper()
-	g := gen.NewGenerator(seed)
-	site := &fig10Site{}
-	site.s = g.Workflow(gen.Class4(), "p1")
-	var err error
-	site.r, _, err = g.Run(site.s, rc, "p1-run")
-	if err != nil {
-		b.Fatal(err)
-	}
-	site.w = warehouse.New(0)
-	site.w.SetCompactIndex(indexed)
-	if err := site.w.RegisterSpec(site.s); err != nil {
-		b.Fatal(err)
-	}
-	if err := site.w.LoadRun(site.r); err != nil {
-		b.Fatal(err)
-	}
-	site.e = provenance.NewEngine(site.w)
-	finals := site.r.FinalOutputs()
-	site.root = finals[len(finals)-1]
-	site.admin = core.UAdmin(site.s)
-	if site.bio, err = core.BuildRelevant(site.s, gen.UBioRelevant(site.s)); err != nil {
-		b.Fatal(err)
-	}
-	if site.bb, err = core.UBlackBox(site.s); err != nil {
-		b.Fatal(err)
-	}
-	return site
-}
-
-// compactModes are the two sides of the P1 experiment.
-var compactModes = []struct {
-	name    string
-	indexed bool
-}{{"legacy", false}, {"indexed", true}}
-
-// BenchmarkCompactColdQuery (P1) is the tentpole comparison: a cold deep
-// provenance query (UAdmin closure compute + projection, cache reset each
-// iteration) on the legacy string/map path versus the interned CSR/bitset
-// path, per Table II run class. Run with -benchmem: the alloc column is
-// the headline alongside ns/op.
-func BenchmarkCompactColdQuery(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		for _, mode := range compactModes {
-			b.Run(rc.Name+"/"+mode.name, func(b *testing.B) {
-				site := newCompactSite(b, rc, 21, mode.indexed)
-				// Warm mapping + projector; the loop then measures only the
-				// per-query path.
-				if _, err := site.e.DeepProvenance(site.r.ID(), site.bio, site.root); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					site.w.ResetCache()
-					if _, err := site.e.DeepProvenance(site.r.ID(), site.bio, site.root); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCompactViewSwitch (P1) measures the warm half: the closure is
-// cached and each iteration re-projects it under an alternating view — the
-// paper's interactive view switch — on both representations.
-func BenchmarkCompactViewSwitch(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		for _, mode := range compactModes {
-			b.Run(rc.Name+"/"+mode.name, func(b *testing.B) {
-				site := newCompactSite(b, rc, 22, mode.indexed)
-				if _, err := site.e.DeepProvenance(site.r.ID(), site.admin, site.root); err != nil {
-					b.Fatal(err)
-				}
-				views := []*core.UserView{site.bio, site.bb}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := site.e.DeepProvenance(site.r.ID(), views[i%2], site.root); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCompactDerivation (P1) covers the forward direction: cold deep
-// derivation of an external input, both representations.
-func BenchmarkCompactDerivation(b *testing.B) {
-	rc := gen.Medium()
-	for _, mode := range compactModes {
-		b.Run(mode.name, func(b *testing.B) {
-			site := newCompactSite(b, rc, 23, mode.indexed)
-			ins := site.r.ExternalInputs()
-			if len(ins) == 0 {
-				b.Skip("run has no external inputs")
-			}
-			d := ins[0]
-			if _, err := site.e.DeepDerivation(site.r.ID(), site.bio, d); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				site.w.ResetCache()
-				if _, err := site.e.DeepDerivation(site.r.ID(), site.bio, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // newLabelSite is newFig10Site with the warehouse's reachability label
 // index switched on or off before the run is loaded — the two sides of
 // the P2 comparison. The same seed yields the identical workflow and run.
@@ -427,14 +303,14 @@ func BenchmarkLabelsColdQuery(b *testing.B) {
 				if mode.labels {
 					strat = warehouse.StrategyLabels
 				}
-				if _, err := site.e.DeepProvenanceStrategy(site.r.ID(), site.bio, site.root, strat); err != nil {
+				if _, _, err := site.e.DeepProvenanceTracedStrategyCtx(context.Background(), site.r.ID(), site.bio, site.root, strat); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					site.w.ResetCache()
-					if _, err := site.e.DeepProvenanceStrategy(site.r.ID(), site.bio, site.root, strat); err != nil {
+					if _, _, err := site.e.DeepProvenanceTracedStrategyCtx(context.Background(), site.r.ID(), site.bio, site.root, strat); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -735,9 +611,10 @@ func BenchmarkIngestLogStream(b *testing.B) {
 // measurable fraction of the op — EXPERIMENTS.md section O1 records the
 // absolute cost; detached stays at baseline in both.
 //
-// "traced" (O2) additionally builds a request span tree per query — an
-// obs.Trace, a context carrying it, and one span per engine stage — the
-// full per-request cost the HTTP server pays for X-Zoom-Trace-Id and the
+// "traced" (O2) goes through the general form the HTTP server calls and
+// additionally builds a request span tree per query — an obs.Trace, a
+// context carrying it, one span per engine stage, and the flat QueryTrace —
+// the full per-request cost the server pays for X-Zoom-Trace-Id and the
 // slow-query log. Untraced queries through the same instrumented code
 // (detached/attached) must not regress: spans cost nothing until a trace
 // is actually in the context.
@@ -765,7 +642,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 			tr := obs.NewTrace("bench.query")
 			ctx := tr.Context(context.Background())
-			_, err := site.e.DeepProvenanceCtx(ctx, site.r.ID(), v, site.root)
+			_, _, err := site.e.DeepProvenanceTracedStrategyCtx(ctx, site.r.ID(), v, site.root, warehouse.StrategyAuto)
 			tr.Finish()
 			return err
 		}

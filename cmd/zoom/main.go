@@ -829,12 +829,12 @@ func cmdQuery(args []string) error {
 			// the paper's view-switch cost. The breakdown goes to stderr so
 			// stdout stays exactly the query answer (-prov output remains
 			// valid JSON, -dot valid DOT) under -trace.
-			_, cold, err := sys.DeepProvenanceTraced(*runID, v, *data)
+			_, cold, err := sys.DeepProvenanceTracedStrategyCtx(context.Background(), *runID, v, *data, zoom.StrategyAuto)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "cold %s\n", cold)
-			_, warm, err := sys.DeepProvenanceTraced(*runID, v, *data)
+			_, warm, err := sys.DeepProvenanceTracedStrategyCtx(context.Background(), *runID, v, *data, zoom.StrategyAuto)
 			if err != nil {
 				return err
 			}

@@ -497,7 +497,6 @@ func Experiments() []Experiment {
 		{"E5", ExpMinimumGap},
 		{"A1/A2", ExpAblation},
 		{"C1", ExpConcurrent},
-		{"P1", ExpCompact},
 		{"P2", ExpLabels},
 		{"L1", ExpIngest},
 		{"L2", ExpMmap},

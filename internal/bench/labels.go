@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -111,14 +112,15 @@ func measureLabelQuery(s *spec.Spec, r *run.Run, labels bool, reps int) (avgMS f
 	root := finals[len(finals)-1]
 	// Warm the mapping and projector so the measurement isolates the
 	// per-query path (closure + projection), not one-time setup.
-	if _, err := e.DeepProvenanceStrategy(r.ID(), bio, root, strat); err != nil {
+	ctx := context.Background()
+	if _, _, err := e.DeepProvenanceTracedStrategyCtx(ctx, r.ID(), bio, root, strat); err != nil {
 		return 0, nil, err
 	}
 	runtime.GC() // keep earlier experiments' garbage out of the timing loop
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		w.ResetCache()
-		if _, err := e.DeepProvenanceStrategy(r.ID(), bio, root, strat); err != nil {
+		if _, _, err := e.DeepProvenanceTracedStrategyCtx(ctx, r.ID(), bio, root, strat); err != nil {
 			return 0, nil, err
 		}
 	}

@@ -386,6 +386,10 @@ func (rt *Router) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// readHeaderTimeout bounds how long a client connection may take to send
+// its request headers, as on the worker tier.
+const readHeaderTimeout = 5 * time.Second
+
 // Serve runs the router on ln until ctx is cancelled, with the health
 // loop polling in the background, then shuts down gracefully like the
 // worker: the listener closes immediately, in-flight requests get up to
@@ -394,7 +398,7 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener, drain time.Duratio
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	go rt.HealthLoop(hctx)
-	srv := &http.Server{Handler: rt.Handler()}
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

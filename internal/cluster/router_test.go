@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -412,5 +413,40 @@ func TestRouterHealthJoinLeave(t *testing.T) {
 	status, _ = postRaw(t, rts.URL, "/v1/query", "", body)
 	if status != http.StatusOK {
 		t.Fatalf("rejoined worker: status %d", status)
+	}
+}
+
+// TestRouterClosesSlowHeaderConn: the router tier disconnects a client that
+// never finishes its request headers after readHeaderTimeout.
+func TestRouterClosesSlowHeaderConn(t *testing.T) {
+	t.Parallel()
+	rt, err := New(obs.NewRegistry(), Config{Workers: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- rt.Serve(ctx, ln, time.Second) }()
+	defer func() { cancel(); <-serveDone }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/query HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("slow-header connection still open after %v: %v", time.Since(start), err)
+	}
+	if el := time.Since(start); el < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout", el, readHeaderTimeout)
 	}
 }

@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/warehouse"
@@ -95,25 +96,28 @@ func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID stri
 		return nil, fmt.Errorf("provenance: unknown execution %q in run %q", execID, runID)
 	}
 	// Union the closures of the execution's inputs; the per-(run, data)
-	// cache makes the repeats cheap.
-	mergedSteps := make(map[string]bool)
-	mergedData := make(map[string]bool)
+	// cache makes the repeats cheap. Every closure must come from the run
+	// the mapping was built over.
+	px := m.Projector()
+	ix := px.Index()
+	steps, data := bitset.New(ix.NumSteps()), bitset.New(ix.NumData())
 	for _, in := range ex.Inputs {
 		c, err := e.w.DeepProvenance(runID, in)
 		if err != nil {
 			return nil, err
 		}
-		for s := range c.StepSet() {
-			mergedSteps[s] = true
+		cix, cs, cd := c.Bits()
+		if cix != ix {
+			return nil, fmt.Errorf("%w: run %q", ErrRunChanged, runID)
 		}
-		for d := range c.DataSet() {
-			mergedData[d] = true
-		}
+		steps.Or(cs)
+		data.Or(cd)
 	}
 	for _, s := range ex.Steps {
-		mergedSteps[s] = true
+		id, _ := ix.StepID(s)
+		steps.Add(id)
 	}
-	res := project(m, warehouse.NewClosure(execID, mergedSteps, mergedData))
+	res := projectBits(m, px, execID, steps, data)
 	res.Root = execID
 	res.External = false
 	res.Metadata = nil
@@ -142,13 +146,9 @@ func (e *Engine) Executions(runID string, v *core.UserView) ([]*composite.Execut
 // mappingFor resolves the run and validates the view before handing out
 // the cached composite-execution mapping.
 func (e *Engine) mappingFor(runID string, v *core.UserView) (*composite.Mapping, error) {
-	r, err := e.w.Run(runID)
+	r, err := e.resolve(runID, v)
 	if err != nil {
 		return nil, err
-	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	return e.mapping(r, v)
 }

@@ -28,9 +28,14 @@ import (
 	"repro/internal/warehouse"
 )
 
-// ErrForeignView reports a view built over a different specification than
-// the queried run's.
+// ErrForeignView reports a missing view, or one built over a different
+// specification than the queried run's.
 var ErrForeignView = errors.New("provenance: view does not match run's specification")
+
+// ErrRunChanged reports a query whose run was dropped and re-ingested under
+// the same id while it ran, so the closures it gathered describe two
+// different runs. Retrying answers against the current run.
+var ErrRunChanged = errors.New("provenance: run re-ingested during query")
 
 // Engine evaluates provenance queries against a warehouse.
 //
@@ -60,10 +65,11 @@ type mappingKey struct {
 	view  *core.UserView
 }
 
-// mappingEntry memoizes one Build outcome. The Once ensures the mapping
-// is computed exactly once even when many goroutines miss concurrently —
-// the engine-level analogue of the warehouse's singleflight.
+// mappingEntry memoizes one Build outcome for the run r. The Once ensures
+// the mapping is computed exactly once even when many goroutines miss
+// concurrently — the engine-level analogue of the warehouse's singleflight.
 type mappingEntry struct {
+	r    *run.Run
 	once sync.Once
 	m    *composite.Mapping
 	err  error
@@ -77,20 +83,72 @@ func NewEngine(w *warehouse.Warehouse) *Engine {
 // Warehouse returns the underlying warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
 
+// resolve looks up a run and checks that the view applies to it. Every
+// query entry point starts here.
+func (e *Engine) resolve(runID string, v *core.UserView) (*run.Run, error) {
+	if v == nil {
+		return nil, fmt.Errorf("%w: nil view for run %q", ErrForeignView, runID)
+	}
+	r, err := e.w.Run(runID)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSpec(r, v); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func checkSpec(r *run.Run, v *core.UserView) error {
+	if r.SpecName() != v.Spec().Name() {
+		return fmt.Errorf("%w: run %q executes %q, view is over %q",
+			ErrForeignView, r.ID(), r.SpecName(), v.Spec().Name())
+	}
+	return nil
+}
+
 // mapping returns the (cached) composite-execution mapping of a run under a
 // view. Mappings depend only on (run, view), not on the queried data, so
-// they are shared across queries and built exactly once per key.
+// they are shared across queries and built exactly once per key. Finding
+// an entry built for another run under the same id — one dropped and
+// re-ingested since — drops every view's entry for that id, so none of
+// them keeps the old run alive.
 func (e *Engine) mapping(r *run.Run, v *core.UserView) (*composite.Mapping, error) {
 	key := mappingKey{runID: r.ID(), view: v}
 	e.mu.Lock()
 	ent := e.mappings[key]
+	if ent != nil && ent.r != r {
+		for k, old := range e.mappings {
+			if k.runID == key.runID && old.r != r {
+				delete(e.mappings, k)
+			}
+		}
+		ent = nil
+	}
 	if ent == nil {
-		ent = &mappingEntry{}
+		ent = &mappingEntry{r: r}
 		e.mappings[key] = ent
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() { ent.m, ent.err = composite.Build(r, v) })
 	return ent.m, ent.err
+}
+
+// closureMapping returns the mapping to project closure c through: the one
+// of the run c was computed over. r is the run the caller resolved; if a
+// drop and re-ingest under the same id slipped in between, c describes the
+// new run, which must pass the view check in its turn. Taking the mapping
+// from the closure's own run is what keeps a projector and a closure from
+// ever disagreeing about interned ids.
+func (e *Engine) closureMapping(c *warehouse.Closure, r *run.Run, v *core.UserView) (*composite.Mapping, error) {
+	ix, _, _ := c.Bits()
+	if rc := ix.Run(); rc != r {
+		if err := checkSpec(rc, v); err != nil {
+			return nil, err
+		}
+		r = rc
+	}
+	return e.mapping(r, v)
 }
 
 // Edge is a dataflow edge of a provenance result graph.
@@ -140,33 +198,13 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 	return e.deepProvenance(context.Background(), runID, v, d, nil, warehouse.StrategyAuto)
 }
 
-// DeepProvenanceCtx is DeepProvenance with a context. When the context
-// carries a trace span (obs.StartSpan / Trace.Context) the query records
-// "query.lookup" and "query.project" child spans — with the closure cache
-// adding "closure.compute" or "closure.shared-wait" beneath the lookup —
-// so a served request's response can explain where its time went. An
-// untraced context costs one nil span check and behaves exactly like
-// DeepProvenance.
-func (e *Engine) DeepProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, error) {
-	return e.deepProvenance(ctx, runID, v, d, nil, warehouse.StrategyAuto)
-}
-
-// DeepProvenanceStrategy is DeepProvenance with an explicit closure strategy
-// for the UAdmin phase — per-query label selection overriding the
-// warehouse's SetLabelIndex toggle. The projection phase is identical either
-// way; the differential equivalence suite pins the results byte-for-byte.
-func (e *Engine) DeepProvenanceStrategy(runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
-	return e.deepProvenance(context.Background(), runID, v, d, nil, strat)
-}
-
-// DeepProvenanceStrategyCtx is DeepProvenanceStrategy with a context.
-func (e *Engine) DeepProvenanceStrategyCtx(ctx context.Context, runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
-	return e.deepProvenance(ctx, runID, v, d, nil, strat)
-}
-
-// deepProvenance is the shared query path behind DeepProvenance and
-// DeepProvenanceTraced. When a metrics registry is attached, a trace is
-// requested, or the context carries a span, it times each stage
+// deepProvenance is the shared query path behind DeepProvenance,
+// DeepProvenanceTracedStrategyCtx and the batch pool. When a context
+// carries a trace span (obs.StartSpan / Trace.Context) it records
+// "query.lookup" and "query.project" child spans, with the closure cache
+// adding "closure.compute" or "closure.shared-wait" beneath the lookup.
+// When a metrics registry is attached, a trace is requested, or the
+// context carries a span, it times each stage
 // (closure-cache lookup including compute or wait, then view projection
 // including the memoized mapping's first build); otherwise it never reads
 // the clock, which is what keeps the detached overhead to a few nil checks
@@ -179,15 +217,10 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 	if timed {
 		start = time.Now()
 	}
-	r, err := e.w.Run(runID)
+	r, err := e.resolve(runID, v)
 	if err != nil {
 		m.queryError()
 		return nil, err
-	}
-	if r.SpecName() != v.Spec().Name() {
-		m.queryError()
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	lctx, lsp := obs.StartSpan(ctx, "query.lookup")
 	closure, o, err := e.w.DeepProvenanceStrategyCtx(lctx, runID, d, timed, strat)
@@ -206,14 +239,16 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 		lookupNs = projectStart.Sub(start).Nanoseconds()
 	}
 	psp := sp.StartChild("query.project")
-	mp, err := e.mapping(r, v)
+	mp, err := e.closureMapping(closure, r, v)
+	var res *Result
+	if err == nil {
+		res, err = project(mp, closure)
+	}
+	psp.End()
 	if err != nil {
-		psp.End()
 		m.queryError()
 		return nil, err
 	}
-	res := project(mp, closure)
-	psp.End()
 	if timed {
 		end := time.Now()
 		projectNs := end.Sub(projectStart).Nanoseconds()
@@ -244,37 +279,34 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 
 // project restricts a UAdmin closure to what a view shows: the composite
 // executions that intersect the closure, the data crossing their
-// boundaries, and the edges between them. Bitset-backed closures take the
-// integer fast path (intersect interned-id sets against the mapping's
-// Projector, materialize strings only for the final Result); map-backed
-// closures — legacy warehouses and the merged closures ExecutionProvenance
-// assembles — take the string path. The equivalence property tests hold
-// the two paths element-for-element identical.
-func project(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	if ix, stepBits, dataBits, ok := closure.Bits(); ok {
-		if px := m.Projector(); px.Index() == ix {
-			return projectIndexed(m, px, closure.Root, stepBits, dataBits)
-		}
+// boundaries, and the edges between them. Closure membership is a bit
+// test, the visible-execution set is a bitset over topological ordinals,
+// and data comes out naturally sorted for free because interned ids are
+// natural ranks; strings are materialized only for the final Result.
+func project(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
+	ix, stepBits, dataBits := c.Bits()
+	px, err := projectorFor(m, ix)
+	if err != nil {
+		return nil, err
 	}
-	return projectLegacy(m, closure)
+	return projectBits(m, px, c.Root, stepBits, dataBits), nil
 }
 
-// projectIndexed is the fast path: closure membership is a bit test, the
-// visible-execution set is a bitset over topological ordinals, and data
-// comes out naturally sorted for free because interned ids are natural
-// ranks.
-func projectIndexed(m *composite.Mapping, px *composite.Projector, root string, stepBits, dataBits bitset.Set) *Result {
+// projectorFor returns the mapping's projector, refusing closures over the
+// index ix of another run than the mapping's: their interned ids would
+// index the wrong arrays.
+func projectorFor(m *composite.Mapping, ix *run.Index) (*composite.Projector, error) {
+	px := m.Projector()
+	if px.Index() != ix {
+		return nil, fmt.Errorf("%w: run %q", ErrRunChanged, m.Run().ID())
+	}
+	return px, nil
+}
+
+// projectBits is project over a closure given as bitsets.
+func projectBits(m *composite.Mapping, px *composite.Projector, root string, stepBits, dataBits bitset.Set) *Result {
 	ix := px.Index()
-	res := &Result{RunID: m.Run().ID(), Root: root, External: m.Run().IsExternal(root)}
-	if res.External {
-		res.Metadata = m.Run().InputMeta(root)
-	}
-	visible := bitset.New(px.NumExecutions())
-	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
-	outData := bitset.New(ix.NumData())
-	if rootID, ok := ix.DataID(root); ok {
-		outData.Add(rootID)
-	}
+	res, visible, outData := newProjection(m, px, root, stepBits)
 	eb := borrowEdgeBuilder()
 	// Ascending ordinals are topological order, matching m.Executions().
 	visible.Each(func(ord int32) {
@@ -292,78 +324,43 @@ func projectIndexed(m *composite.Mapping, px *composite.Projector, root string, 
 			}
 		}
 	})
-	res.Data = make([]string, 0, outData.Count())
-	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
+	res.Data = dataNames(ix, outData)
 	res.Edges = eb.build()
 	eb.release()
 	return res
 }
 
-// projectLegacy is the string/map path.
-func projectLegacy(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	res := &Result{RunID: m.Run().ID(), Root: closure.Root, External: m.Run().IsExternal(closure.Root)}
+// newProjection starts a projection of a closure rooted at root: the Result
+// header, the visible executions (those holding a closure step) and the
+// visible data, seeded with the root.
+func newProjection(m *composite.Mapping, px *composite.Projector, root string, stepBits bitset.Set) (res *Result, visible, data bitset.Set) {
+	res = &Result{RunID: m.Run().ID(), Root: root, External: m.Run().IsExternal(root)}
 	if res.External {
-		res.Metadata = m.Run().InputMeta(closure.Root)
+		res.Metadata = m.Run().InputMeta(root)
 	}
-	// When every execution is a singleton (UAdmin without self-loops),
-	// execution ids are step ids and visibility is closure membership —
-	// no visible map needed.
-	allSingle := m.AllSingleton()
-	var visible map[string]bool
-	if !allSingle {
-		visible = make(map[string]bool)
+	visible = bitset.New(px.NumExecutions())
+	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
+	ix := px.Index()
+	data = bitset.New(ix.NumData())
+	if rootID, ok := ix.DataID(root); ok {
+		data.Add(rootID)
 	}
-	for _, ex := range m.Executions() {
-		for _, s := range ex.Steps {
-			if closure.HasStep(s) {
-				if !allSingle {
-					visible[ex.ID] = true
-				}
-				res.Executions = append(res.Executions, ex)
-				break
-			}
-		}
-	}
-	isVisible := func(id string) bool {
-		if allSingle {
-			return closure.HasStep(id)
-		}
-		return visible[id]
-	}
-	dataSet := map[string]bool{closure.Root: true}
-	eb := borrowEdgeBuilder()
-	for _, ex := range res.Executions {
-		for _, d := range ex.Inputs {
-			if !closure.HasData(d) {
-				continue // input irrelevant to this derivation
-			}
-			dataSet[d] = true
-			src, ok := m.ProducerExecution(d)
-			if !ok {
-				src = spec.Input
-			}
-			if src == spec.Input || isVisible(src) {
-				eb.add(src, ex.ID, d, -1)
-			}
-		}
-	}
-	res.Data = make([]string, 0, len(dataSet))
-	for d := range dataSet {
-		res.Data = append(res.Data, d)
-	}
-	sortNatural(res.Data)
-	res.Edges = eb.build()
-	eb.release()
-	return res
+	return res, visible, data
+}
+
+// dataNames materializes a data bitset as names, naturally ordered.
+func dataNames(ix *run.Index, data bitset.Set) []string {
+	out := make([]string, 0, data.Count())
+	data.Each(func(d int32) { out = append(out, ix.DataName(d)) })
+	return out
 }
 
 // edgeBuilder accumulates provenance-graph edges as a flat triple slice
 // instead of the nested map-of-maps a per-query accumulator would allocate:
 // one append per (from, to, data) fact, one sort, one grouping pass.
 // Builders are pooled across queries, so a steady query load reuses the
-// same backing arrays. rank is the data id's interned natural rank when the
-// caller knows it (the indexed path), letting the sort compare ints instead
-// of re-parsing digit suffixes; -1 falls back to lessNatural.
+// same backing arrays. rank is the data id's interned natural rank, letting
+// the sort compare ints instead of re-parsing digit suffixes.
 type edgeBuilder struct {
 	triples []edgeTriple
 }
@@ -402,10 +399,7 @@ func (eb *edgeBuilder) build() []Edge {
 		if ts[i].to != ts[j].to {
 			return ts[i].to < ts[j].to
 		}
-		if ts[i].rank >= 0 && ts[j].rank >= 0 {
-			return ts[i].rank < ts[j].rank
-		}
-		return lessNatural(ts[i].d, ts[j].d)
+		return ts[i].rank < ts[j].rank
 	})
 	var edges []Edge
 	for i := 0; i < len(ts); {
@@ -437,13 +431,9 @@ func (e *Engine) ImmediateProvenance(runID string, v *core.UserView, d string) (
 func (e *Engine) ImmediateProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Execution, error) {
 	_, sp := obs.StartSpan(ctx, "query.immediate")
 	defer sp.End()
-	r, err := e.w.Run(runID)
+	r, err := e.resolve(runID, v)
 	if err != nil {
 		return nil, err
-	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	if !r.HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
@@ -477,133 +467,61 @@ func (e *Engine) DeepDerivationStrategy(runID string, v *core.UserView, d string
 	if m != nil {
 		start = time.Now()
 	}
-	r, err := e.w.Run(runID)
+	res, err := e.deepDerivation(runID, v, d, strat)
 	if err != nil {
 		m.queryError()
 		return nil, err
 	}
-	if r.SpecName() != v.Spec().Name() {
-		m.queryError()
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
-	}
-	closure, err := e.w.DeepDerivationStrategy(runID, d, strat)
-	if err != nil {
-		m.queryError()
-		return nil, err
-	}
-	mp, err := e.mapping(r, v)
-	if err != nil {
-		m.queryError()
-		return nil, err
-	}
-	res := projectForward(mp, closure)
 	if m != nil {
 		m.forwardNs.Observe(time.Since(start).Nanoseconds())
 	}
 	return res, nil
 }
 
+func (e *Engine) deepDerivation(runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
+	r, err := e.resolve(runID, v)
+	if err != nil {
+		return nil, err
+	}
+	closure, err := e.w.DeepDerivationStrategy(runID, d, strat)
+	if err != nil {
+		return nil, err
+	}
+	mp, err := e.closureMapping(closure, r, v)
+	if err != nil {
+		return nil, err
+	}
+	return projectForward(mp, closure)
+}
+
 // projectForward mirrors project for the derivation direction: visible
 // executions intersecting the closure, and the closure data leaving each
 // execution toward other visible executions (or toward the final output).
-// Like project, bitset-backed closures take the integer fast path.
-func projectForward(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	if ix, stepBits, dataBits, ok := closure.Bits(); ok {
-		if px := m.Projector(); px.Index() == ix {
-			return projectForwardIndexed(m, px, closure.Root, stepBits, dataBits)
-		}
+func projectForward(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
+	ix, stepBits, dataBits := c.Bits()
+	px, err := projectorFor(m, ix)
+	if err != nil {
+		return nil, err
 	}
-	return projectForwardLegacy(m, closure)
-}
-
-func projectForwardIndexed(m *composite.Mapping, px *composite.Projector, root string, stepBits, dataBits bitset.Set) *Result {
-	ix := px.Index()
-	res := &Result{RunID: m.Run().ID(), Root: root, External: m.Run().IsExternal(root)}
-	if res.External {
-		res.Metadata = m.Run().InputMeta(root)
-	}
-	visible := bitset.New(px.NumExecutions())
-	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
-	outData := bitset.New(ix.NumData())
-	if rootID, ok := ix.DataID(root); ok {
-		outData.Add(rootID)
-	}
+	res, visible, outData := newProjection(m, px, c.Root, stepBits)
 	visible.Each(func(ord int32) {
 		res.Executions = append(res.Executions, px.Execution(ord))
 		for _, d := range px.OutputsOf(ord) {
 			if !dataBits.Has(d) {
 				continue
 			}
-			if ix.IsFinal(d) || consumedOutsideIndexed(ix, px, visible, ord, d) {
+			if ix.IsFinal(d) || consumedOutside(ix, px, visible, ord, d) {
 				outData.Add(d)
 			}
 		}
 	})
-	res.Data = make([]string, 0, outData.Count())
-	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
-	return res
+	res.Data = dataNames(ix, outData)
+	return res, nil
 }
 
-func consumedOutsideIndexed(ix *run.Index, px *composite.Projector, visible bitset.Set, ord, d int32) bool {
+func consumedOutside(ix *run.Index, px *composite.Projector, visible bitset.Set, ord, d int32) bool {
 	for _, s := range ix.ConsumersOf(d) {
 		if e := px.ExecOfStep(s); e != ord && visible.Has(e) {
-			return true
-		}
-	}
-	return false
-}
-
-func projectForwardLegacy(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	res := &Result{RunID: m.Run().ID(), Root: closure.Root, External: m.Run().IsExternal(closure.Root)}
-	if res.External {
-		res.Metadata = m.Run().InputMeta(closure.Root)
-	}
-	allSingle := m.AllSingleton()
-	var visible map[string]bool
-	if !allSingle {
-		visible = make(map[string]bool)
-	}
-	for _, ex := range m.Executions() {
-		for _, s := range ex.Steps {
-			if closure.HasStep(s) {
-				if !allSingle {
-					visible[ex.ID] = true
-				}
-				res.Executions = append(res.Executions, ex)
-				break
-			}
-		}
-	}
-	isVisible := func(id string) bool {
-		if allSingle {
-			return closure.HasStep(id)
-		}
-		return visible[id]
-	}
-	dataSet := map[string]bool{closure.Root: true}
-	finals := make(map[string]bool)
-	for _, d := range m.Run().FinalOutputs() {
-		finals[d] = true
-	}
-	for _, ex := range res.Executions {
-		for _, d := range ex.Outputs {
-			if closure.HasData(d) && (finals[d] || consumedOutside(m, ex.ID, d, isVisible)) {
-				dataSet[d] = true
-			}
-		}
-	}
-	res.Data = make([]string, 0, len(dataSet))
-	for d := range dataSet {
-		res.Data = append(res.Data, d)
-	}
-	sortNatural(res.Data)
-	return res
-}
-
-func consumedOutside(m *composite.Mapping, execID, d string, visible func(string) bool) bool {
-	for _, c := range m.Run().Consumers(d) {
-		if id, ok := m.ExecutionOf(c); ok && id != execID && visible(id) {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -248,6 +249,47 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := f.e.DeepDerivation("fig2", foreign, "d447"); !errors.Is(err, ErrForeignView) {
 		t.Fatalf("foreign view (derivation): %v", err)
+	}
+}
+
+// TestNilViewRejected: every engine entry point that takes a view answers
+// a nil one with ErrForeignView instead of panicking.
+func TestNilViewRejected(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	for name, query := range map[string]func() error{
+		"DeepProvenance": func() error { _, err := f.e.DeepProvenance("fig2", nil, "d447"); return err },
+		"DeepProvenanceTracedStrategyCtx": func() error {
+			_, _, err := f.e.DeepProvenanceTracedStrategyCtx(ctx, "fig2", nil, "d447", warehouse.StrategyAuto)
+			return err
+		},
+		"DeepProvenanceBatch": func() error {
+			_, err := f.e.DeepProvenanceBatch(ctx, "fig2", nil, []string{"d447", "d413"}, 2)
+			return err
+		},
+		"ServeConcurrently": func() error {
+			return f.e.ServeConcurrently(ctx, []Query{{RunID: "fig2", Data: "d447"}}, 1)[0].Err
+		},
+		"ImmediateProvenance": func() error { _, err := f.e.ImmediateProvenance("fig2", nil, "d413"); return err },
+		"ImmediateProvenanceCtx": func() error {
+			_, err := f.e.ImmediateProvenanceCtx(ctx, "fig2", nil, "d413")
+			return err
+		},
+		"DeepDerivation": func() error { _, err := f.e.DeepDerivation("fig2", nil, "d1"); return err },
+		"DeepDerivationStrategy": func() error {
+			_, err := f.e.DeepDerivationStrategy("fig2", nil, "d1", warehouse.StrategyBFS)
+			return err
+		},
+		"DeepProvenanceDirect": func() error { _, err := f.e.DeepProvenanceDirect("fig2", nil, "d447"); return err },
+		"DataBetween":          func() error { _, err := f.e.DataBetween("fig2", nil, "S1", "S2"); return err },
+		"CommonProvenance":     func() error { _, err := f.e.CommonProvenance("fig2", nil, "d447", "d413"); return err },
+		"ExecutionProvenance":  func() error { _, err := f.e.ExecutionProvenance("fig2", nil, "S10"); return err },
+		"Executions":           func() error { _, err := f.e.Executions("fig2", nil); return err },
+		"DerivationPath":       func() error { _, err := f.e.DerivationPath("fig2", nil, "d1", "d447"); return err },
+	} {
+		if err := query(); !errors.Is(err, ErrForeignView) {
+			t.Errorf("%s with a nil view: err = %v, want ErrForeignView", name, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/run"
@@ -14,39 +15,24 @@ import (
 	"repro/internal/warehouse"
 )
 
-// The equivalence property: the bitset/CSR fast path (indexed warehouse)
-// and the legacy string/map path (SetCompactIndex(false)) must produce
-// element-for-element identical Results — same executions in the same
-// order, same data, same edges — for every query. These tests pin it on
-// the paper's phylogenomics example and on generated runs from every
-// workflow class and every Table II run class.
+// The equivalence property: the engine's bitset/CSR path must produce
+// element-for-element identical Results to the plain string reference in
+// oracle_test.go — same executions in the same order, same data, same
+// edges — for every query kind. These tests pin it on the paper's
+// phylogenomics example and on generated runs from every workflow class
+// and every Table II run class.
 
-// twinEngines returns two engines over the same spec and run: one indexed,
-// one legacy.
-func twinEngines(t *testing.T, s *spec.Spec, r *run.Run) (indexed, legacy *Engine) {
+// newTestEngine returns an engine over a fresh warehouse holding one run.
+func newTestEngine(t *testing.T, s *spec.Spec, r *run.Run) *Engine {
 	t.Helper()
-	wi := warehouse.New(0)
-	if err := wi.RegisterSpec(s); err != nil {
+	w := warehouse.New(0)
+	if err := w.RegisterSpec(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := wi.LoadRun(r); err != nil {
+	if err := w.LoadRun(r); err != nil {
 		t.Fatal(err)
 	}
-	wl := warehouse.New(0)
-	wl.SetCompactIndex(false)
-	if err := wl.RegisterSpec(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.LoadRun(r); err != nil {
-		t.Fatal(err)
-	}
-	if wi.RunIndex(r.ID()) == nil {
-		t.Fatal("indexed warehouse built no index")
-	}
-	if wl.RunIndex(r.ID()) != nil {
-		t.Fatal("legacy warehouse built an index")
-	}
-	return NewEngine(wi), NewEngine(wl)
+	return NewEngine(w)
 }
 
 func sameResult(t *testing.T, label string, a, b *Result) {
@@ -66,37 +52,47 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 		}
 	}
 	if !reflect.DeepEqual(a.Data, b.Data) {
-		t.Fatalf("%s: data differ:\nindexed %v\nlegacy  %v", label, a.Data, b.Data)
+		t.Fatalf("%s: data differ:\ngot  %v\nwant %v", label, a.Data, b.Data)
 	}
 	if !reflect.DeepEqual(a.Edges, b.Edges) {
-		t.Fatalf("%s: edges differ:\nindexed %v\nlegacy  %v", label, a.Edges, b.Edges)
+		t.Fatalf("%s: edges differ:\ngot  %v\nwant %v", label, a.Edges, b.Edges)
 	}
 }
 
-// checkEquivalence compares both strategies for provenance and derivation
-// of the given data objects under the given views.
-func checkEquivalence(t *testing.T, ei, el *Engine, r *run.Run, views map[string]*core.UserView, data []string) {
+// checkEquivalence compares the engine with the oracle for provenance,
+// derivation, immediate provenance, and the execution provenance of each
+// data object's producing execution, under the given views.
+func checkEquivalence(t *testing.T, e *Engine, r *run.Run, views map[string]*core.UserView, data []string) {
 	t.Helper()
 	for vname, v := range views {
+		m := oracleMapping(t, r, v)
 		for _, d := range data {
-			a, err := ei.DeepProvenance(r.ID(), v, d)
+			label := fmt.Sprintf("%s/%s/%s", r.ID(), vname, d)
+			a, err := e.DeepProvenance(r.ID(), v, d)
 			if err != nil {
-				t.Fatalf("indexed prov(%s,%s): %v", vname, d, err)
+				t.Fatalf("prov %s: %v", label, err)
 			}
-			b, err := el.DeepProvenance(r.ID(), v, d)
+			sameResult(t, "prov "+label, a, oracleDeep(m, d))
+			a, err = e.DeepDerivation(r.ID(), v, d)
 			if err != nil {
-				t.Fatalf("legacy prov(%s,%s): %v", vname, d, err)
+				t.Fatalf("deriv %s: %v", label, err)
 			}
-			sameResult(t, fmt.Sprintf("prov %s/%s/%s", r.ID(), vname, d), a, b)
-			a, err = ei.DeepDerivation(r.ID(), v, d)
+			sameResult(t, "deriv "+label, a, oracleDeepDerivation(m, d))
+			ex, err := e.ImmediateProvenance(r.ID(), v, d)
 			if err != nil {
-				t.Fatalf("indexed deriv(%s,%s): %v", vname, d, err)
+				t.Fatalf("immediate %s: %v", label, err)
 			}
-			b, err = el.DeepDerivation(r.ID(), v, d)
+			if want := oracleImmediate(m, d); !reflect.DeepEqual(ex, want) {
+				t.Fatalf("immediate %s: got %+v, want %+v", label, ex, want)
+			}
+			if ex == nil {
+				continue // external input: no producing execution
+			}
+			a, err = e.ExecutionProvenance(r.ID(), v, ex.ID)
 			if err != nil {
-				t.Fatalf("legacy deriv(%s,%s): %v", vname, d, err)
+				t.Fatalf("exec-prov %s (%s): %v", label, ex.ID, err)
 			}
-			sameResult(t, fmt.Sprintf("deriv %s/%s/%s", r.ID(), vname, d), a, b)
+			sameResult(t, "exec-prov "+label, a, oracleExecution(t, m, ex.ID))
 		}
 	}
 }
@@ -106,7 +102,7 @@ func checkEquivalence(t *testing.T, ei, el *Engine, r *run.Run, views map[string
 func TestEquivalencePhylogenomics(t *testing.T) {
 	s := spec.Phylogenomics()
 	r := run.Figure2()
-	ei, el := twinEngines(t, s, r)
+	e := newTestEngine(t, s, r)
 	joe, err := core.BuildRelevant(s, spec.PhyloRelevantJoe())
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +118,7 @@ func TestEquivalencePhylogenomics(t *testing.T) {
 	views := map[string]*core.UserView{
 		"admin": core.UAdmin(s), "joe": joe, "mary": mary, "blackbox": bb,
 	}
-	checkEquivalence(t, ei, el, r, views, r.AllData())
+	checkEquivalence(t, e, r, views, r.AllData())
 }
 
 // TestEquivalenceGeneratedRuns: 200 generated runs covering every workflow
@@ -153,7 +149,7 @@ func TestEquivalenceGeneratedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ei, el := twinEngines(t, s, r)
+		e := newTestEngine(t, s, r)
 		views := map[string]*core.UserView{"admin": core.UAdmin(s)}
 		if ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s)); err == nil {
 			views["ubio"] = ubio
@@ -167,7 +163,7 @@ func TestEquivalenceGeneratedRuns(t *testing.T) {
 		if len(finals) > 0 {
 			data = append(data, finals[len(finals)-1])
 		}
-		checkEquivalence(t, ei, el, r, views, data)
+		checkEquivalence(t, e, r, views, data)
 	}
 	if !testing.Short() {
 		for _, want := range []string{"small", "medium", "large"} {
@@ -179,9 +175,9 @@ func TestEquivalenceGeneratedRuns(t *testing.T) {
 }
 
 // TestConcurrentIndexedServe runs a query burst through ServeConcurrently
-// against an indexed warehouse — the projector sync.Once, the shared frozen
-// closure bitsets, and the pooled edge builders all under -race — and
-// cross-checks every answer against the legacy engine.
+// — the projector sync.Once, the shared frozen closure bitsets, and the
+// pooled edge builders all under -race — and cross-checks every answer
+// against the oracle.
 func TestConcurrentIndexedServe(t *testing.T) {
 	g := gen.NewGenerator(911)
 	s := g.Workflow(gen.Class4(), "conc-ix")
@@ -189,7 +185,7 @@ func TestConcurrentIndexedServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ei, el := twinEngines(t, s, r)
+	e := newTestEngine(t, s, r)
 	admin := core.UAdmin(s)
 	ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s))
 	if err != nil {
@@ -203,15 +199,13 @@ func TestConcurrentIndexedServe(t *testing.T) {
 			queries = append(queries, Query{RunID: r.ID(), View: ubio, Data: d})
 		}
 	}
-	answered := ei.ServeConcurrently(context.Background(), queries, 8)
+	answered := e.ServeConcurrently(context.Background(), queries, 8)
+	maps := map[*core.UserView]*composite.Mapping{admin: oracleMapping(t, r, admin), ubio: oracleMapping(t, r, ubio)}
 	for _, qr := range answered {
 		if qr.Err != nil {
 			t.Fatalf("query %d (%s): %v", qr.Index, qr.Query.Data, qr.Err)
 		}
-		want, err := el.DeepProvenance(qr.Query.RunID, qr.Query.View, qr.Query.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleDeep(maps[qr.Query.View], qr.Query.Data)
 		sameResult(t, fmt.Sprintf("concurrent %s", qr.Query.Data), qr.Result, want)
 	}
 }

@@ -51,6 +51,12 @@ func labelTwinEngines(t *testing.T, s *spec.Spec, r *run.Run) (labeled, bfs *Eng
 	return NewEngine(wl), NewEngine(wb)
 }
 
+// deepStrategy is DeepProvenance under an explicit closure strategy.
+func deepStrategy(e *Engine, runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
+	res, _, err := e.DeepProvenanceTracedStrategyCtx(context.Background(), runID, v, d, strat)
+	return res, err
+}
+
 // checkLabelEquivalence compares the two strategies for deep provenance,
 // immediate provenance and deep derivation of the given data objects under
 // the given views. The label engine is queried with StrategyLabels (so a
@@ -60,11 +66,11 @@ func checkLabelEquivalence(t *testing.T, el, eb *Engine, r *run.Run, views map[s
 	t.Helper()
 	for vname, v := range views {
 		for _, d := range data {
-			a, err := el.DeepProvenanceStrategy(r.ID(), v, d, warehouse.StrategyLabels)
+			a, err := deepStrategy(el, r.ID(), v, d, warehouse.StrategyLabels)
 			if err != nil {
 				t.Fatalf("label prov(%s,%s): %v", vname, d, err)
 			}
-			b, err := eb.DeepProvenanceStrategy(r.ID(), v, d, warehouse.StrategyBFS)
+			b, err := deepStrategy(eb, r.ID(), v, d, warehouse.StrategyBFS)
 			if err != nil {
 				t.Fatalf("bfs prov(%s,%s): %v", vname, d, err)
 			}
@@ -222,7 +228,7 @@ func TestConcurrentLabelServe(t *testing.T) {
 		if qr.Err != nil {
 			t.Fatalf("query %d (%s): %v", qr.Index, qr.Query.Data, qr.Err)
 		}
-		want, err := eb.DeepProvenanceStrategy(qr.Query.RunID, qr.Query.View, qr.Query.Data, warehouse.StrategyBFS)
+		want, err := deepStrategy(eb, qr.Query.RunID, qr.Query.View, qr.Query.Data, warehouse.StrategyBFS)
 		if err != nil {
 			t.Fatal(err)
 		}

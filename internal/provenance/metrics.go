@@ -81,9 +81,9 @@ type QueryTrace struct {
 	// Outcome is how the closure lookup was served: "hit", "miss", or
 	// "shared-wait".
 	Outcome string `json:"outcome"`
-	// Strategy is the closure computation a miss actually ran ("labels",
-	// "bfs", or "legacy"); empty for hits and shared waits, which reuse a
-	// closure somebody else computed.
+	// Strategy is the closure computation a miss actually ran ("labels"
+	// or "bfs"); empty for hits and shared waits, which reuse a closure
+	// somebody else computed.
 	Strategy  string `json:"strategy,omitempty"`
 	LookupNs  int64  `json:"lookup_ns"`
 	ComputeNs int64  `json:"compute_ns,omitempty"`
@@ -115,26 +115,16 @@ func (tr *QueryTrace) String() string {
 	return b.String()
 }
 
-// DeepProvenanceTraced is DeepProvenance plus a filled QueryTrace. Tracing
-// forces timing on even when no registry is attached, so it is the one
-// query path that always pays for clock reads.
-func (e *Engine) DeepProvenanceTraced(runID string, v *core.UserView, d string) (*Result, *QueryTrace, error) {
-	return e.DeepProvenanceTracedCtx(context.Background(), runID, v, d)
-}
-
-// DeepProvenanceTracedCtx is DeepProvenanceTraced with a context: the
-// QueryTrace carries the flat per-stage numbers (outcome, lookup, compute,
-// project), and a context holding a span tree (obs.StartSpan) additionally
-// records the same stages as structured spans. The server uses both — the
-// numbers go in the response body, the spans in ?trace=1 and the slow log.
-func (e *Engine) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, *QueryTrace, error) {
-	return e.DeepProvenanceTracedStrategyCtx(ctx, runID, v, d, warehouse.StrategyAuto)
-}
-
-// DeepProvenanceTracedStrategyCtx is DeepProvenanceTracedCtx with an
-// explicit closure strategy — the server's per-request `labels` override
-// lands here. On a miss the trace's Strategy field reports which
-// computation actually ran.
+// DeepProvenanceTracedStrategyCtx is the general form of DeepProvenance.
+// It fills a QueryTrace with the flat per-stage numbers (outcome, lookup,
+// compute, project); tracing forces timing on even when no registry is
+// attached, so it always pays for clock reads. A context holding a span
+// tree (obs.StartSpan) additionally records the same stages as structured
+// spans — the server uses both: the numbers go in the response body, the
+// spans in ?trace=1 and the slow log. strat selects the closure
+// computation of a miss (the server's per-request `labels` override lands
+// here), and the trace's Strategy field reports which computation
+// actually ran.
 func (e *Engine) DeepProvenanceTracedStrategyCtx(ctx context.Context, runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, *QueryTrace, error) {
 	tr := &QueryTrace{RunID: runID, Data: d}
 	res, err := e.deepProvenance(ctx, runID, v, d, tr, strat)

@@ -25,13 +25,9 @@ type PathElement struct {
 // target. The path alternates data and executions, starting at from and
 // ending at to.
 func (e *Engine) DerivationPath(runID string, v *core.UserView, from, to string) ([]PathElement, error) {
-	r, err := e.w.Run(runID)
+	r, err := e.resolve(runID, v)
 	if err != nil {
 		return nil, err
-	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	for _, d := range []string{from, to} {
 		if !r.HasData(d) {

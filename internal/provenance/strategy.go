@@ -24,13 +24,9 @@ import (
 // traversal at the granularity of the view's composite executions, without
 // consulting or populating the UAdmin closure cache.
 func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) (*Result, error) {
-	r, err := e.w.Run(runID)
+	r, err := e.resolve(runID, v)
 	if err != nil {
 		return nil, err
-	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	if !r.HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)

@@ -58,8 +58,8 @@ func (r *Run) Index() *Index {
 func buildIndex(r *Run) *Index {
 	ix := &Index{
 		r:        r,
-		stepName: r.StepIDs(),  // natural order
-		dataName: r.AllData(),  // natural order
+		stepName: r.StepIDs(), // natural order
+		dataName: r.AllData(), // natural order
 	}
 	ix.stepID = make(map[string]int32, len(ix.stepName))
 	for i, s := range ix.stepName {

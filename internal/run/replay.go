@@ -16,6 +16,7 @@ import (
 //   - a read of a data object written by step p induces the flow p -> reader;
 //   - a read of a data object nobody wrote is external input (INPUT -> reader);
 //   - data written but never read is final output (writer -> OUTPUT).
+//
 // FromLog is the batch form of LogLoader (see loader.go), which streams the
 // same reconstruction event by event.
 func FromLog(runID, specName string, events []wflog.Event) (*Run, error) {

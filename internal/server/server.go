@@ -271,11 +271,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so clients trickling headers cannot pin connections and
+// goroutines indefinitely. Well-behaved clients send them at once, and idle
+// keep-alive connections are not affected.
+const readHeaderTimeout = 5 * time.Second
+
 // Serve runs the server on ln until ctx is cancelled, then shuts down
 // gracefully: the listener closes immediately, in-flight requests get up
 // to drain to finish. It returns nil after a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -545,13 +551,13 @@ type timingDTO struct {
 
 // queryResponse is the body of a POST /v1/query answer.
 type queryResponse struct {
-	TraceID   string        `json:"trace_id"`
-	Run       string        `json:"run"`
-	Data      string        `json:"data"`
+	TraceID string `json:"trace_id"`
+	Run     string `json:"run"`
+	Data    string `json:"data"`
 	Kind    string `json:"kind"`
 	Outcome string `json:"outcome,omitempty"`
 	// Strategy reports the closure computation a deep-query miss actually
-	// ran ("labels", "bfs", or "legacy"); empty on cache hits.
+	// ran ("labels" or "bfs"); empty on cache hits.
 	Strategy  string        `json:"strategy,omitempty"`
 	Timing    *timingDTO    `json:"timing,omitempty"`
 	Result    *resultDTO    `json:"result,omitempty"`

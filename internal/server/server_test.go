@@ -881,3 +881,36 @@ func TestServerConcurrentBatchDrain(t *testing.T) {
 		t.Fatalf("Serve returned %v after drain", err)
 	}
 }
+
+// TestServeClosesSlowHeaderConn: a client that opens a connection and never
+// finishes its request headers is disconnected after readHeaderTimeout
+// instead of holding the connection (and its goroutine) open.
+func TestServeClosesSlowHeaderConn(t *testing.T) {
+	t.Parallel()
+	s, _ := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ctx, ln, time.Second) }()
+	defer func() { cancel(); <-serveDone }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/query HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("slow-header connection still open after %v: %v", time.Since(start), err)
+	}
+	if el := time.Since(start); el < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout", el, readHeaderTimeout)
+	}
+}

@@ -147,7 +147,7 @@ func (o Outcome) String() string {
 // instrumentation: how the lookup was served and, for a miss, how long the
 // closure compute took. ComputeNs is zero unless timing was requested (or
 // a registry is attached) and the outcome is OutcomeMiss. Strategy names
-// the computation a miss actually ran ("labels", "bfs", "legacy"); it is
+// the computation a miss actually ran ("labels" or "bfs"); it is
 // empty for hits and shared waits, which run no computation of their own.
 type Observation struct {
 	Outcome   Outcome

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
@@ -27,6 +28,28 @@ func waitForSharedWaits(t *testing.T, cc *closureCache, n int64) {
 	}
 }
 
+// testClosure builds a small closure rooted at data object root holding the
+// single step step, over a one-step run INPUT -root-> step -> OUTPUT.
+func testClosure(root, step string) *Closure {
+	r := run.NewRun("t", "t")
+	if err := r.AddStep(step, "M"); err != nil {
+		panic(err)
+	}
+	if err := r.AddFlow(spec.Input, step, []string{root}); err != nil {
+		panic(err)
+	}
+	if err := r.AddFlow(step, spec.Output, []string{root + "-out"}); err != nil {
+		panic(err)
+	}
+	ix := r.Index()
+	steps, data := bitset.New(ix.NumSteps()), bitset.New(ix.NumData())
+	s, _ := ix.StepID(step)
+	d, _ := ix.DataID(root)
+	steps.Add(s)
+	data.Add(d)
+	return newBitClosure(root, ix, steps, data)
+}
+
 // TestConcurrentSingleflightComputesOnce is the acceptance test for the
 // thundering-herd path: 32 goroutines miss the same cold key at the same
 // time (the leader's computation is gated until all 31 others are blocked
@@ -36,7 +59,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 	release := make(chan struct{})
 	compute := func(context.Context) (*Closure, error) {
 		<-release
-		return NewClosure("d1", map[string]bool{"S1": true}, map[string]bool{"d1": true}), nil
+		return testClosure("d1", "S1"), nil
 	}
 
 	const goroutines = 32
@@ -121,7 +144,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 	}
 	// Errors must not poison the cache: the next miss computes again.
 	ok := func(context.Context) (*Closure, error) {
-		return NewClosure("d1", nil, map[string]bool{"d1": true}), nil
+		return testClosure("d1", "S1"), nil
 	}
 	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d1", false, ok); err != nil {
 		t.Fatal(err)

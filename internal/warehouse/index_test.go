@@ -6,76 +6,119 @@ import (
 	"testing"
 
 	"repro/internal/run"
-	"repro/internal/spec"
 )
 
-// legacyWarehouse is loadedWarehouse with the compact index disabled: the
-// reference string/map query path.
-func legacyWarehouse(t *testing.T) *Warehouse {
-	t.Helper()
-	w := New(0)
-	w.SetCompactIndex(false)
-	mustT(t, w.RegisterSpec(spec.Phylogenomics()))
-	mustT(t, w.LoadRun(run.Figure2()))
-	return w
+// closureNames turns a closure's bitsets into step and data name sets.
+func closureNames(c *Closure) (steps, data map[string]bool) {
+	ix, sb, db := c.Bits()
+	steps, data = map[string]bool{}, map[string]bool{}
+	sb.Each(func(s int32) { steps[ix.StepName(s)] = true })
+	db.Each(func(d int32) { data[ix.DataName(d)] = true })
+	return steps, data
 }
 
-// TestIndexedClosureMatchesLegacy compares the bitset closure against the
-// legacy string BFS for every data object of Figure 2, in both directions.
-func TestIndexedClosureMatchesLegacy(t *testing.T) {
-	wi := loadedWarehouse(t)
-	wl := legacyWarehouse(t)
-	r, _ := wi.Run("fig2")
-	for _, d := range r.AllData() {
-		for name, query := range map[string]func(*Warehouse) (*Closure, error){
-			"provenance": func(w *Warehouse) (*Closure, error) { return w.DeepProvenance("fig2", d) },
-			"derivation": func(w *Warehouse) (*Closure, error) { return w.DeepDerivation("fig2", d) },
-		} {
-			ci, err := query(wi)
-			if err != nil {
-				t.Fatalf("%s(%s) indexed: %v", name, d, err)
+// dataNamesOf returns a closure's data members by name.
+func dataNamesOf(c *Closure) map[string]bool {
+	_, data := closureNames(c)
+	return data
+}
+
+// refClosure is the plain string reference closure the indexed and label
+// paths are held to: a ConnectBy over the run's string relations, backward
+// (deep provenance) or forward (deep derivation). Keys are bipartite: "d:"
+// prefixes data, "s:" steps.
+func refClosure(r *run.Run, d string, backward bool) (steps, data map[string]bool) {
+	steps, data = map[string]bool{}, map[string]bool{d: true}
+	ConnectBy([]string{"d:" + d}, func(key string) []string {
+		id := key[2:]
+		var next []string
+		if key[0] == 'd' {
+			if backward {
+				if p, _ := r.Producer(id); p != "" {
+					next = []string{p}
+				}
+			} else {
+				next = r.Consumers(id)
 			}
-			cl, err := query(wl)
-			if err != nil {
-				t.Fatalf("%s(%s) legacy: %v", name, d, err)
+			out := make([]string, 0, len(next))
+			for _, s := range next {
+				steps[s] = true
+				out = append(out, "s:"+s)
 			}
-			if _, _, _, ok := ci.Bits(); !ok {
-				t.Fatalf("%s(%s): indexed warehouse returned a map closure", name, d)
-			}
-			if _, _, _, ok := cl.Bits(); ok {
-				t.Fatalf("%s(%s): legacy warehouse returned a bitset closure", name, d)
-			}
-			if !reflect.DeepEqual(ci.StepSet(), cl.StepSet()) {
-				t.Fatalf("%s(%s): steps differ\nindexed %v\nlegacy  %v", name, d, ci.StepSet(), cl.StepSet())
-			}
-			if !reflect.DeepEqual(ci.DataSet(), cl.DataSet()) {
-				t.Fatalf("%s(%s): data differ\nindexed %v\nlegacy  %v", name, d, ci.DataSet(), cl.DataSet())
-			}
+			return out
 		}
+		if backward {
+			next = r.InputsOf(id)
+		} else {
+			next = r.OutputsOf(id)
+		}
+		out := make([]string, 0, len(next))
+		for _, x := range next {
+			data[x] = true
+			out = append(out, "d:"+x)
+		}
+		return out
+	})
+	return steps, data
+}
+
+// sameClosure fails unless c has exactly the given members and was
+// computed over r.
+func sameClosure(t *testing.T, label string, c *Closure, r *run.Run, steps, data map[string]bool) {
+	t.Helper()
+	if ix, _, _ := c.Bits(); ix.Run() != r {
+		t.Fatalf("%s: closure computed over another run", label)
+	}
+	gotS, gotD := closureNames(c)
+	if !reflect.DeepEqual(gotS, steps) {
+		t.Fatalf("%s: steps differ\ngot  %v\nwant %v", label, gotS, steps)
+	}
+	if !reflect.DeepEqual(gotD, data) {
+		t.Fatalf("%s: data differ\ngot  %v\nwant %v", label, gotD, data)
 	}
 }
 
-// TestClosureFacade pins the facade invariants: Has* agrees with the lazy
-// map views, counts agree, and the maps are per-instance (mutating one
-// caller's view cannot poison another's).
+// TestIndexedClosureMatchesOracle compares the bitset closure against the
+// string reference for every data object of Figure 2, in both directions.
+func TestIndexedClosureMatchesOracle(t *testing.T) {
+	w := loadedWarehouse(t)
+	r, _ := w.Run("fig2")
+	for _, d := range r.AllData() {
+		c, err := w.DeepProvenance("fig2", d)
+		if err != nil {
+			t.Fatalf("provenance(%s): %v", d, err)
+		}
+		steps, data := refClosure(r, d, true)
+		sameClosure(t, "provenance "+d, c, r, steps, data)
+		if c, err = w.DeepDerivation("fig2", d); err != nil {
+			t.Fatalf("derivation(%s): %v", d, err)
+		}
+		steps, data = refClosure(r, d, false)
+		sameClosure(t, "derivation "+d, c, r, steps, data)
+	}
+}
+
+// TestClosureFacade pins the facade invariants: Has* agrees with the
+// members, counts agree, and nothing outside the run is a member.
 func TestClosureFacade(t *testing.T) {
 	w := loadedWarehouse(t)
 	c, err := w.DeepProvenance("fig2", "d447")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.StepSet()) != c.NumSteps() || len(c.DataSet()) != c.NumData() {
-		t.Fatalf("lazy maps disagree with counts: %d/%d vs %d/%d",
-			len(c.StepSet()), len(c.DataSet()), c.NumSteps(), c.NumData())
+	steps, data := closureNames(c)
+	if len(steps) != c.NumSteps() || len(data) != c.NumData() {
+		t.Fatalf("members disagree with counts: %d/%d vs %d/%d",
+			len(steps), len(data), c.NumSteps(), c.NumData())
 	}
-	for s := range c.StepSet() {
+	for s := range steps {
 		if !c.HasStep(s) {
-			t.Fatalf("HasStep(%s) false but in StepSet", s)
+			t.Fatalf("HasStep(%s) false but a member", s)
 		}
 	}
-	for d := range c.DataSet() {
+	for d := range data {
 		if !c.HasData(d) {
-			t.Fatalf("HasData(%s) false but in DataSet", d)
+			t.Fatalf("HasData(%s) false but a member", d)
 		}
 	}
 	if c.HasStep("ghost") || c.HasData("ghost") {
@@ -83,38 +126,6 @@ func TestClosureFacade(t *testing.T) {
 	}
 	if c.Size() != c.NumSteps()+c.NumData() {
 		t.Fatalf("Size = %d", c.Size())
-	}
-	delete(c.StepSet(), "S1")
-	c2, err := w.DeepProvenance("fig2", "d447")
-	if err != nil || !c2.HasStep("S1") {
-		t.Fatal("cache poisoned through a materialized map view")
-	}
-}
-
-// TestSetCompactIndexScope: toggling affects only subsequently loaded runs.
-func TestSetCompactIndexScope(t *testing.T) {
-	w := New(0)
-	mustT(t, w.RegisterSpec(spec.Phylogenomics()))
-	mustT(t, w.LoadRun(run.Figure2()))
-	if w.RunIndex("fig2") == nil {
-		t.Fatal("default load built no index")
-	}
-	w.SetCompactIndex(false)
-	if w.RunIndex("fig2") == nil {
-		t.Fatal("toggling dropped an existing run's index")
-	}
-	mustT(t, w.LoadRun(figure2As(t, "fig2b")))
-	if w.RunIndex("fig2b") != nil {
-		t.Fatal("run loaded under SetCompactIndex(false) got an index")
-	}
-	st := w.Stats()
-	if st.Index.IndexedRuns != 1 {
-		t.Fatalf("IndexedRuns = %d, want 1", st.Index.IndexedRuns)
-	}
-	w.SetCompactIndex(true)
-	mustT(t, w.LoadRun(figure2As(t, "fig2c")))
-	if w.RunIndex("fig2c") == nil {
-		t.Fatal("re-enabled compact index not built")
 	}
 }
 
@@ -180,9 +191,8 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestConcurrentIndexedClosures hammers the indexed BFS and the lazy map
-// materialization from many goroutines — the sync.Once facade and the shared
-// frozen bitsets must be race-free (run under -race).
+// TestConcurrentIndexedClosures hammers the indexed BFS and reads of the
+// shared frozen bitsets from many goroutines (run under -race).
 func TestConcurrentIndexedClosures(t *testing.T) {
 	w := loadedWarehouse(t)
 	r, _ := w.Run("fig2")
@@ -204,14 +214,11 @@ func TestConcurrentIndexedClosures(t *testing.T) {
 					t.Errorf("closure of %s lost its root", d)
 					return
 				}
-				// Alternate access styles so bitset reads and lazy map
-				// materialization race against each other across clones.
-				switch g % 3 {
-				case 0:
-					_ = c.StepSet()
-				case 1:
-					_ = c.DataSet()
-				default:
+				// Alternate access styles so bitset reads race against
+				// each other across clones.
+				if g%2 == 0 {
+					closureNames(c)
+				} else {
 					_ = c.NumSteps() + c.NumData()
 				}
 			}

@@ -24,7 +24,8 @@ func closureKey(c *Closure) string {
 		sort.Strings(ids)
 		return strings.Join(ids, ",")
 	}
-	return "s{" + render(c.StepSet()) + "} d{" + render(c.DataSet()) + "}"
+	steps, data := closureNames(c)
+	return "s{" + render(steps) + "} d{" + render(data) + "}"
 }
 
 // labeledWarehouse is loadedWarehouse with the label index on.
@@ -226,7 +227,7 @@ func TestConcurrentLabelChurn(t *testing.T) {
 					return
 				default:
 				}
-				c, o, err := w.DeepProvenanceObserved("fig2", d, false)
+				c, o, err := w.DeepProvenanceStrategyCtx(context.Background(), "fig2", d, false, StrategyAuto)
 				if err != nil {
 					if !errors.Is(err, ErrUnknownRun) && !errors.Is(err, ErrUnknownData) {
 						t.Errorf("unexpected error: %v", err)

@@ -207,8 +207,8 @@ func (w *Warehouse) buildV3Locked() ([]byte, error) {
 
 	// Run data section: 8-aligned blocks, offsets relative to the section.
 	type recInfo struct {
-		off, length uint64
-		hash        uint64
+		off, length        uint64
+		hash               uint64
 		steps, data, edges int
 	}
 	var runData []byte
@@ -312,11 +312,6 @@ type v3MetaEntry struct {
 // appendRunBlockV3 encodes one materialized run as a v3 block, appending to
 // dst (which is 8-aligned on entry).
 func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
-	if ix == nil {
-		// Runs loaded under SetCompactIndex(false) have no CSR tables to
-		// store; build the index now rather than fail the save.
-		ix = r.Index()
-	}
 	nSteps, nData := ix.NumSteps(), ix.NumData()
 
 	// Arena plus the three name-offset tables.

@@ -137,7 +137,7 @@ func TestOpenV3Labels(t *testing.T) {
 	fig2, _ := back.Run("fig2")
 	cl, _, err := back.DeepProvenanceStrategyCtx(context.Background(), "fig2", fig2.FinalOutputs()[0], false, StrategyLabels)
 	mustT(t, err)
-	if cl == nil || len(cl.DataSet()) == 0 {
+	if cl == nil || cl.NumData() == 0 {
 		t.Fatal("label-path closure empty")
 	}
 	if c := back.LabelCounters(); c.Hits == 0 {
@@ -160,7 +160,7 @@ func TestV3CloseLifecycle(t *testing.T) {
 	finals := r.FinalOutputs()
 	cl, err := back.DeepProvenance("fig2", finals[len(finals)-1])
 	mustT(t, err)
-	preData := cl.DataSet()
+	preData := dataNamesOf(cl)
 
 	mustT(t, back.Close())
 	mustT(t, back.Close()) // idempotent
@@ -257,7 +257,7 @@ func TestV3RejectsBitFlips(t *testing.T) {
 				continue
 			}
 			var ds []string
-			for d := range cl.DataSet() {
+			for d := range dataNamesOf(cl) {
 				ds = append(ds, d)
 			}
 			sort.Strings(ds)
@@ -332,7 +332,7 @@ func deepAnswers2(t testing.TB, w *Warehouse) map[string][]string {
 		cl, err := w.DeepProvenance(id, finals[len(finals)-1])
 		mustT(t, err)
 		var ds []string
-		for d := range cl.DataSet() {
+		for d := range dataNamesOf(cl) {
 			ds = append(ds, d)
 		}
 		sort.Strings(ds)

@@ -61,7 +61,7 @@ func deepAnswers(t testing.TB, w *Warehouse) map[string][]string {
 		cl, err := w.DeepProvenance(id, finals[len(finals)-1])
 		mustT(t, err)
 		var ds []string
-		for d := range cl.DataSet() {
+		for d := range dataNamesOf(cl) {
 			ds = append(ds, d)
 		}
 		sort.Strings(ds)

@@ -292,26 +292,16 @@ func (s *System) DeepProvenance(runID string, v *UserView, d string) (*Result, e
 	return s.e.DeepProvenance(runID, v, d)
 }
 
-// DeepProvenanceTraced is DeepProvenance plus a per-stage timing breakdown
-// (closure-cache lookup, closure compute, view projection) — the legible
-// analogue of the paper's strategy-timing table, printed by
-// `zoom query -trace`.
-func (s *System) DeepProvenanceTraced(runID string, v *UserView, d string) (*Result, *QueryTrace, error) {
-	return s.e.DeepProvenanceTraced(runID, v, d)
-}
-
-// DeepProvenanceCtx is DeepProvenance with a context: cancellation is
-// honored at stage boundaries, and when the context carries a trace
-// (NewTrace / StartSpan) the engine records its stages as spans.
-func (s *System) DeepProvenanceCtx(ctx context.Context, runID string, v *UserView, d string) (*Result, error) {
-	return s.e.DeepProvenanceCtx(ctx, runID, v, d)
-}
-
-// DeepProvenanceTracedCtx combines both tracing forms: the returned
-// QueryTrace has the flat stage numbers, and a span-carrying context
-// additionally gets the structured span tree.
-func (s *System) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *UserView, d string) (*Result, *QueryTrace, error) {
-	return s.e.DeepProvenanceTracedCtx(ctx, runID, v, d)
+// DeepProvenanceTracedStrategyCtx is the general form of DeepProvenance:
+// it returns a per-stage timing breakdown (closure-cache lookup, closure
+// compute, view projection) — the legible analogue of the paper's
+// strategy-timing table, printed by `zoom query -trace`. When the context
+// carries a trace (NewTrace / StartSpan) the engine also records its
+// stages as spans. strat selects the closure computation for the UAdmin
+// phase (StrategyAuto follows SetLabelIndex); results are identical
+// across strategies.
+func (s *System) DeepProvenanceTracedStrategyCtx(ctx context.Context, runID string, v *UserView, d string, strat ClosureStrategy) (*Result, *QueryTrace, error) {
+	return s.e.DeepProvenanceTracedStrategyCtx(ctx, runID, v, d, strat)
 }
 
 // NewTrace starts a request-scoped span tree; derive a context with
@@ -505,14 +495,6 @@ func (s *System) LabelIndexEnabled() bool { return s.w.LabelIndexEnabled() }
 
 // LabelCounters snapshots the label lifecycle counters.
 func (s *System) LabelCounters() LabelCounters { return s.w.LabelCounters() }
-
-// DeepProvenanceStrategy is DeepProvenance with an explicit closure
-// strategy for the UAdmin phase — per-query label selection overriding the
-// SetLabelIndex toggle. Results are identical across strategies; only the
-// closure computation differs.
-func (s *System) DeepProvenanceStrategy(runID string, v *UserView, d string, strat ClosureStrategy) (*Result, error) {
-	return s.e.DeepProvenanceStrategy(runID, v, d, strat)
-}
 
 // Stats summarizes the warehouse contents (catalog row counts).
 func (s *System) Stats() warehouse.Stats { return s.w.Stats() }
